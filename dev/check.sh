@@ -50,6 +50,14 @@ dune exec bin/cdw.exe -- store replay "$STORE_DIR"              # prefix-consist
 dune exec bin/cdw.exe -- store compact "$STORE_DIR"
 dune exec bin/cdw.exe -- store verify "$STORE_DIR" --strict     # clean after compaction
 
+# Ledger end-to-end gate: journaled wire serving (fsync every:32, auto
+# snapshots), with the ledger resumed after every trial; the resumed
+# users must equal the served ones exactly — users, pairs in acceptance
+# order, and cuts. A 10 s seed-1 run of the benchmark's ledger_wire
+# workload; its last line must report "correct":true.
+sh cdwbench/run.sh --workload ledger_wire --seed 1 --seconds 10 --trace 0 \
+  | tail -n 1 | grep -qF '"correct":true'
+
 # Sharded crash-recovery smoke: the same story through a 4-shard group
 # — journal (one WAL per shard under the root), tear one shard's tail,
 # prove replay confines the damage to that shard and the whole group

@@ -3,7 +3,7 @@ module Paths = Cdw_graph.Paths
 module Reach = Cdw_graph.Reach
 module Mincut = Cdw_flow.Mincut
 module Multicut = Cdw_cut.Multicut
-module Ilp_multicut = Cdw_cut.Ilp_multicut
+module Simplex = Cdw_lp.Simplex
 module Splitmix = Cdw_util.Splitmix
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
@@ -181,76 +181,68 @@ let min_cuts_impl (o : Options.t) wf cs =
         cs;
       1)
 
-let min_mc_impl (o : Options.t) wf cs =
-  let scheme = o.Options.scheme in
-  let deadline =
-    if o.Options.deadline = infinity then None else Some o.Options.deadline
+(* RemoveMinMC's solve path (Alg. 4): valuation-derived cut weights on
+   a private copy, one global multicut, cascade enforcement. The oracle
+   tier runs this same path with its own backend, deadline and node
+   limit; the multicut result rides along for its tier and bound. *)
+let multicut_impl ~backend ~deadline ?node_limit (o : Options.t) wf cs =
+  let result = ref None in
+  let outcome =
+    on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
+        let g = Workflow.graph copy in
+        let w =
+          Trace.span "solve.weights" (fun () ->
+              Utility.cut_weights ?scheme:o.Options.scheme copy)
+        in
+        let r =
+          Trace.span "solve.multicut" (fun () ->
+              Multicut.solve ~backend ~deadline ?node_limit g
+                ~weight:(fun e -> w.(Digraph.edge_id e))
+                ~pairs:(Constraint_set.pairs cs))
+        in
+        result := Some r;
+        Trace.span "solve.enforce" (fun () ->
+            ignore (Valuation.remove_with_cascade copy r.Multicut.edges));
+        1)
   in
-  on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
-      let g = Workflow.graph copy in
-      let w =
-        Trace.span "solve.weights" (fun () -> Utility.cut_weights ?scheme copy)
-      in
-      let result =
-        Trace.span "solve.multicut" (fun () ->
-            Multicut.solve ~backend:o.Options.backend ?deadline g
-              ~weight:(fun e -> w.(Digraph.edge_id e))
-              ~pairs:(Constraint_set.pairs cs))
-      in
-      Trace.span "solve.enforce" (fun () ->
-          ignore (Valuation.remove_with_cascade copy result.Multicut.edges));
-      1)
+  (outcome, Option.get !result)
 
-(* The oracle tier: exact ILP multicut (or its LP-rounding
-   approximation) with lazily generated path constraints, budgeted per
-   request. Exhausting the node/time budget while the caller's own
-   deadline still has slack falls back to RemoveMinMC so serving always
-   answers; [tier]/[bound] on the outcome record which tier did. *)
+let min_mc_impl (o : Options.t) wf cs =
+  fst
+    (multicut_impl ~backend:o.Options.backend ~deadline:o.Options.deadline o
+       wf cs)
+
+(* The oracle tier: RemoveMinMC's path on the exact ILP backend (or LP
+   rounding), budgeted per request. Exhausting the node/time budget
+   while the caller's own deadline still has slack falls back to
+   RemoveMinMC's greedy backend — what [Auto] itself answers with once
+   its budget is gone — so serving always answers without re-running
+   the ILP it just exhausted; [tier]/[bound] on the outcome record
+   which tier did. *)
 let oracle_impl ~approx (o : Options.t) wf cs =
-  let scheme = o.Options.scheme in
   let deadline =
     match o.Options.solver_budget_ms with
     | Some ms -> Float.min o.Options.deadline (Timing.deadline_after_ms ms)
     | None -> o.Options.deadline
   in
-  let bound = ref None in
-  let attempt () =
-    on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
-        let g = Workflow.graph copy in
-        let w =
-          Trace.span "solve.weights" (fun () ->
-              Utility.cut_weights ?scheme copy)
-        in
-        let weight e = w.(Digraph.edge_id e) in
-        let pairs = Constraint_set.pairs cs in
-        let r =
-          Trace.span "solve.ilp_multicut" (fun () ->
-              if approx then Ilp_multicut.solve_approx ~deadline g ~weight ~pairs
-              else
-                Ilp_multicut.solve_exact ~deadline
-                  ?node_limit:o.Options.node_budget g ~weight ~pairs)
-        in
-        bound := Some r.Ilp_multicut.lower_bound;
-        Trace.span "solve.enforce" (fun () ->
-            ignore
-              (Valuation.remove_with_cascade copy r.Ilp_multicut.edges));
-        1)
-  in
-  match attempt () with
-  | outcome ->
+  let backend = if approx then Multicut.Lp_rounding else Multicut.Ilp in
+  match
+    multicut_impl ~backend ~deadline ?node_limit:o.Options.node_budget o wf cs
+  with
+  | outcome, r ->
       {
         outcome with
-        tier = Some (if approx then "approx-lp" else "exact-ilp");
-        bound = !bound;
+        tier = Some (if r.Multicut.exact then "exact-ilp" else "approx-lp");
+        bound = Some r.Multicut.lower_bound;
       }
-  | exception (Timing.Timeout | Failure _)
+  | exception (Timing.Timeout | Simplex.Numerical_failure _)
     when o.Options.deadline = infinity || Timing.now_ms () < o.Options.deadline
     ->
-      (* The solver budget (node limit / solver_budget_ms / a numerically
-         stuck simplex) ran out, but the caller's own deadline has slack:
-         answer from the heuristic ladder. A caller-deadline Timeout
-         re-raises. *)
-      let outcome = min_mc_impl o wf cs in
+      (* A caller-deadline Timeout re-raises. *)
+      let outcome, _ =
+        multicut_impl ~backend:Multicut.Greedy ~deadline:o.Options.deadline o
+          wf cs
+      in
       { outcome with tier = Some "fallback:remove-min-mc"; bound = None }
 
 (* All constraint paths that must be broken, over the initial graph. *)

@@ -74,12 +74,13 @@ module Options : sig
     paths_for : path_provider option;
     node_budget : int option;
         (** per-round branch-and-bound node cap of [Exact_ilp]
-            ({!Cdw_lp.Ilp.solve}'s [node_limit]); exhausting it falls
-            back to RemoveMinMC *)
+            ({!Cdw_cut.Multicut.solve}'s [node_limit]); exhausting it
+            falls back to RemoveMinMC's greedy backend *)
     solver_budget_ms : float option;
         (** per-request wall-clock budget of [Exact_ilp]/[Approx_lp],
-            *tighter* than [deadline]: exhausting it falls back to
-            RemoveMinMC instead of raising, so serving always answers *)
+            *tighter* than [deadline]: exhausting it (or a numerically
+            stuck simplex) falls back to RemoveMinMC's greedy backend
+            instead of raising, so serving always answers *)
   }
 
   val default : t
@@ -164,13 +165,15 @@ type name =
   | Brute_force
   | Brute_force_bnb
   | Exact_ilp
-      (** exact minimum multicut via {!Cdw_cut.Ilp_multicut} — the
-          ground-truth oracle. Budgeted by [Options.node_budget] /
-          [Options.solver_budget_ms]; on exhaustion answers from
-          RemoveMinMC ([outcome.tier] says which tier did). *)
+      (** RemoveMinMC's solve path on {!Cdw_cut.Multicut}'s exact [Ilp]
+          backend — the ground-truth oracle. Budgeted by
+          [Options.node_budget] / [Options.solver_budget_ms]; on
+          exhaustion answers from RemoveMinMC's [Greedy] backend
+          ([outcome.tier] says which tier did). *)
   | Approx_lp
-      (** LP-relaxation threshold rounding with a guaranteed ratio
-          (longest discovered path length); same budget/fallback. *)
+      (** The same path on {!Cdw_cut.Multicut}'s [Lp_rounding] backend:
+          a guaranteed ratio (longest discovered path length); same
+          budget/fallback. *)
 
 val all_names : name list
 

@@ -32,9 +32,10 @@ val presolve : problem -> presolve_info
 val expand : problem -> presolve_info -> bool array -> bool array
 (** Lift a solution of [reduced] back to the original element space. *)
 
-val solve_ilp : ?deadline:float -> problem -> bool array
-(** Exact, via {!Cdw_lp.Ilp}. Raises [Invalid_argument] on an empty set
-    (unhittable); may raise [Cdw_util.Timing.Timeout]. *)
+val solve_ilp : ?deadline:float -> ?node_limit:int -> problem -> bool array
+(** Exact, via {!Cdw_lp.Ilp} ([node_limit] is its branch-and-bound node
+    cap). Raises [Invalid_argument] on an empty set (unhittable); may
+    raise [Cdw_util.Timing.Timeout]. *)
 
 val solve_bnb : ?deadline:float -> problem -> bool array
 (** Exact, combinatorial branch-and-bound: branches on the elements of a

@@ -90,7 +90,9 @@ let solve ?(deadline = infinity) ?(node_limit = 200_000)
              a compact box and cannot be unbounded; reaching this means
              the tableau went numerically off the rails. Fail loudly
              instead of mis-pruning the subtree. *)
-          failwith "Ilp: bounded relaxation reported unbounded"
+          raise
+            (Simplex.Numerical_failure
+               "Ilp: bounded relaxation reported unbounded")
       | Simplex.Optimal { x; objective_value } ->
           let bound = objective_value +. fixed_cost problem fixed in
           if bound < !incumbent_value -. int_eps then begin

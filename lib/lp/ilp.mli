@@ -18,4 +18,6 @@ val solve :
   outcome
 (** Minimise over binary assignments. [node_limit] (default 200_000)
     bounds the number of branch-and-bound nodes; exceeding it — or the
-    cooperative [deadline] — raises [Cdw_util.Timing.Timeout]. *)
+    cooperative [deadline] — raises [Cdw_util.Timing.Timeout]; a
+    relaxation gone numerically wrong raises
+    {!Simplex.Numerical_failure}. *)

@@ -8,6 +8,8 @@ type problem = {
 type solution = { x : float array; objective_value : float }
 type outcome = Optimal of solution | Infeasible | Unbounded
 
+exception Numerical_failure of string
+
 let eps = 1e-9
 let feas_eps = 1e-6
 
@@ -79,7 +81,8 @@ let optimize t ~allow ~max_pivots ~deadline =
   let last_objective = ref infinity in
   let stalled = ref 0 in
   let rec loop k =
-    if k > max_pivots then failwith "Simplex: pivot cap exceeded";
+    if k > max_pivots then
+      raise (Numerical_failure "Simplex: pivot cap exceeded");
     if k land 63 = 0 then Cdw_util.Timing.check_deadline deadline;
     let objective = -.t.obj.(t.total) in
     if objective < !last_objective -. eps then begin

@@ -24,9 +24,15 @@ type solution = { x : float array; objective_value : float }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
+exception Numerical_failure of string
+(** The dense tableau went numerically off the rails: the pivot cap was
+    hit, or (from {!Ilp}) a bounded relaxation reported unbounded. The
+    solver budgets treat it like an exhausted budget; it is the only
+    solver failure they forgive. *)
+
 val solve : ?max_pivots:int -> ?deadline:float -> problem -> outcome
 (** [max_pivots] defaults to [100_000 + 200 * (vars + constraints)].
-    Raises [Failure] when the cap is hit (numerically stuck) and
+    Raises {!Numerical_failure} when the cap is hit and
     [Cdw_util.Timing.Timeout] when the cooperative [deadline] (checked
     every few dozen pivots) has passed. *)
 

@@ -162,7 +162,9 @@ let snapshot_state_json engine =
   let users =
     List.map
       (fun (user, pairs, cut_ids) ->
-        let pairs = encode_pairs wf pairs |> List.sort compare in
+        (* Pairs stay in acceptance order: a re-solve walks them in list
+           order, so a resumed user must list them as the served one. *)
+        let pairs = encode_pairs wf pairs in
         (* Cut edges are removals relative to the base, so each id names
            an edge that is live in the base: (src, dst) names identify it
            across reloads, like vertex names do for constraint pairs. *)

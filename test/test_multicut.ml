@@ -128,6 +128,25 @@ let prop_exact_vs_enumeration =
         Float.abs (r.Multicut.weight -. !best) < 1e-6
       end)
 
+(* [Auto] forgives an exhausted budget or a stuck simplex, nothing
+   else: a [Failure] raised inside its ILP phase (here by the weight
+   function, once, on the ILP's own scaling pass) must propagate
+   instead of silently answering from greedy. *)
+let test_auto_propagates_failure () =
+  let g = fig4 () in
+  let n = Digraph.n_edges g in
+  let calls = ref 0 in
+  let weight _ =
+    incr calls;
+    if !calls = n + 1 then failwith "weight bug";
+    1.0
+  in
+  Alcotest.check_raises "foreign Failure propagates" (Failure "weight bug")
+    (fun () ->
+      ignore
+        (Multicut.solve ~backend:(Multicut.Auto 5_000.0) g ~weight
+           ~pairs:[ (0, 3) ]))
+
 let suite =
   [
     Alcotest.test_case "single pair reduces to min cut" `Quick
@@ -137,6 +156,8 @@ let suite =
     Alcotest.test_case "already disconnected pairs" `Quick test_already_disconnected;
     Alcotest.test_case "input graph not mutated" `Quick test_graph_not_mutated;
     Alcotest.test_case "invalid pair rejected" `Quick test_invalid_pair;
+    Alcotest.test_case "Auto propagates a foreign Failure" `Quick
+      test_auto_propagates_failure;
     prop_backends;
     prop_exact_vs_enumeration;
   ]

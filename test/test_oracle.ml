@@ -1,17 +1,18 @@
 (* The oracle differential gate: every heuristic in the ladder is held
-   against the exact ILP multicut (lib/cut/ilp_multicut.ml) — its cut
-   must be valid (no surviving s→t path) and its utility can never beat
-   the proven optimum. The gate sweeps the paper datasets 1a/1b/1c/2/3
-   and a randomized generator sweep, pins the worst observed RemoveMinMC
-   optimality gap, checks approx-lp against its claimed L-ratio, and
-   exercises the budget/fallback tier. *)
+   against the exact tier — RemoveMinMC's solve path on the exact ILP
+   backend of the one lazy-multicut loop (lib/cut/multicut.ml). Its cut
+   must be valid (no surviving s→t path) and no heuristic's removal set
+   can pay less than its proven optimum. The gate sweeps the paper
+   datasets 1a/1b/1c/2/3 and a randomized generator sweep, pins the
+   worst observed RemoveMinMC optimality gap, checks approx-lp against
+   its claimed L-ratio, and exercises the budget/fallback tier. *)
 
 open Cdw_core
 module Dataset2 = Cdw_workload.Dataset2
 module Digraph = Cdw_graph.Digraph
 module Gen_params = Cdw_workload.Gen_params
 module Generator = Cdw_workload.Generator
-module Ilp_multicut = Cdw_cut.Ilp_multicut
+module Multicut = Cdw_cut.Multicut
 
 let heuristics =
   [
@@ -96,34 +97,36 @@ let check_instance label (wf : Workflow.t) (cs : Constraint_set.t) =
   let pairs = Constraint_set.pairs cs in
   if pairs <> [] then begin
     let g = Workflow.graph wfc in
-    let r_exact = Ilp_multicut.solve_exact g ~weight ~pairs in
-    let r_approx = Ilp_multicut.solve_approx g ~weight ~pairs in
+    let r_exact = Multicut.solve ~backend:Multicut.Ilp g ~weight ~pairs in
+    let r_approx =
+      Multicut.solve ~backend:Multicut.Lp_rounding g ~weight ~pairs
+    in
     Alcotest.(check (float 1e-6))
       (label ^ ": exact lower bound is its own weight")
-      r_exact.Ilp_multicut.weight r_exact.Ilp_multicut.lower_bound;
+      r_exact.Multicut.weight r_exact.Multicut.lower_bound;
     (* The bound the Algorithms tier reported is exactly the optimal
        multicut weight we just recomputed on an identical copy. *)
     Alcotest.(check (float 1e-6))
       (label ^ ": outcome bound is the optimal cut weight")
-      r_exact.Ilp_multicut.weight exact_bound;
+      r_exact.Multicut.weight exact_bound;
     if
-      r_approx.Ilp_multicut.weight
-      > (r_approx.Ilp_multicut.ratio *. r_exact.Ilp_multicut.weight) +. 1e-6
+      r_approx.Multicut.weight
+      > (r_approx.Multicut.ratio *. r_exact.Multicut.weight) +. 1e-6
     then
       Alcotest.failf "%s: approx-lp weight %.3f breaks its %.0f-ratio vs %.3f"
-        label r_approx.Ilp_multicut.weight r_approx.Ilp_multicut.ratio
-        r_exact.Ilp_multicut.weight;
-    if r_approx.Ilp_multicut.lower_bound > r_exact.Ilp_multicut.weight +. 1e-6
+        label r_approx.Multicut.weight r_approx.Multicut.ratio
+        r_exact.Multicut.weight;
+    if r_approx.Multicut.lower_bound > r_exact.Multicut.weight +. 1e-6
     then
       Alcotest.failf "%s: approx-lp lower bound %.3f exceeds the optimum %.3f"
-        label r_approx.Ilp_multicut.lower_bound r_exact.Ilp_multicut.weight;
+        label r_approx.Multicut.lower_bound r_exact.Multicut.weight;
     (* Lazy constraint generation terminates because it runs out of
        violated pairs — one survivor count per round plus the final
        sweep: every round found at least one, the final sweep none. *)
-    let violated = r_exact.Ilp_multicut.violated in
+    let violated = r_exact.Multicut.violated in
     Alcotest.(check int)
       (label ^ ": one violated count per round + final sweep")
-      (r_exact.Ilp_multicut.rounds + 1)
+      (r_exact.Multicut.rounds + 1)
       (List.length violated);
     List.iteri
       (fun i v ->
@@ -250,6 +253,40 @@ let test_budget_fallback () =
   Alcotest.(check (option string))
     "ample budget stays exact" (Some "exact-ilp") o.Algorithms.tier
 
+(* The budget fallback must not re-run the ILP it just exhausted: on
+   the dense 1c instance that defeats the ILP (|N| = 30, seed 1), a
+   250 ms exact-tier budget answers from the fallback tier well inside
+   2 s, with the utility RemoveMinMC itself settles for there — its
+   [Auto] budget expires too and it answers from greedy. *)
+let test_fallback_is_cheap () =
+  let inst =
+    Generator.generate ~seed:1 (Gen_params.dataset1c ~n_constraints:30)
+  in
+  let wf = inst.Generator.workflow in
+  let cs = inst.Generator.constraints in
+  let options =
+    {
+      Algorithms.Options.default with
+      Algorithms.Options.solver_budget_ms = Some 250.0;
+    }
+  in
+  let o, ms =
+    Cdw_util.Timing.time_f (fun () -> solve ~options Algorithms.Exact_ilp wf cs)
+  in
+  Alcotest.(check (option string))
+    "fallback tier recorded"
+    (Some "fallback:remove-min-mc")
+    o.Algorithms.tier;
+  if ms >= 2_000.0 then
+    Alcotest.failf "fallback took %.0f ms (budget 250 ms)" ms;
+  let greedy = Algorithms.remove_min_mc ~backend:Multicut.Greedy wf cs in
+  Alcotest.(check (float 1e-9))
+    "fallback utility = RemoveMinMC's greedy answer"
+    greedy.Algorithms.utility_after o.Algorithms.utility_after;
+  Alcotest.(check (float 0.005))
+    "utility retained as RemoveMinMC's budget-bound answer" 46.29
+    (Algorithms.utility_percent o)
+
 let suite =
   [
     Alcotest.test_case "paper datasets 1a/1b/1c/2/3 vs the oracle" `Quick
@@ -260,4 +297,6 @@ let suite =
       test_exact_matches_brute_force;
     Alcotest.test_case "budget exhaustion falls back to RemoveMinMC" `Quick
       test_budget_fallback;
+    Alcotest.test_case "budget fallback does not re-run the ILP" `Quick
+      test_fallback_is_cheap;
   ]

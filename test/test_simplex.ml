@@ -124,6 +124,16 @@ let prop_covering_feasible =
           feasible_value p s.x && s.objective_value <= all_ones_cost +. 1e-6
       | Infeasible | Unbounded -> false)
 
+(* The pivot cap raises the typed failure the solver budgets forgive,
+   not a bare [Failure] that would also forgive unrelated bugs. *)
+let test_pivot_cap_typed () =
+  let p =
+    { objective = [| -1.0; -1.0 |]; constraints = [ ([| 1.0; 2.0 |], Le, 14.0) ] }
+  in
+  match solve ~max_pivots:0 p with
+  | exception Numerical_failure _ -> ()
+  | _ -> Alcotest.fail "max_pivots:0 solved an LP that needs a pivot"
+
 let suite =
   [
     Alcotest.test_case "textbook LP with ≤ and ≥" `Quick test_textbook_le_ge;
@@ -135,5 +145,7 @@ let suite =
       test_negative_rhs_normalisation;
     Alcotest.test_case "degenerate LP terminates (Bland)" `Quick
       test_degenerate_no_cycle;
+    Alcotest.test_case "pivot cap raises Numerical_failure" `Quick
+      test_pivot_cap_typed;
     prop_covering_feasible;
   ]

@@ -619,6 +619,51 @@ let test_resume_after_torn_tail () =
           Alcotest.(check bool) "dave's session persisted" true
             (List.mem_assoc "dave" (Engine.sessions r2.Store.engine)))
 
+(* A snapshot keeps each user's pairs in acceptance order. A re-solve
+   (here: the withdrawal that follows the resume) walks the remaining
+   pairs in list order, and greedy solvers such as RemoveMinCuts depend
+   on that order, so a resumed user must hold its pairs exactly as the
+   served one does. *)
+let test_snapshot_keeps_pair_order () =
+  with_dir (fun dir ->
+      let wf = (instance 47).Generator.workflow in
+      let pairs = connected_pairs wf 5 in
+      Alcotest.(check bool) "enough connected pairs" true (List.length pairs = 5);
+      (* Accepted one drain at a time in descending order: a sort would
+         reorder them. *)
+      let accepted = List.sort (fun a b -> compare b a) pairs in
+      let algorithm = Algorithms.Remove_min_cuts in
+      (* The served engine runs unjournaled; its journaled twin is
+         snapshotted, closed and resumed. *)
+      let served = Engine.create ~algorithm ~seed:123 wf in
+      let engine = Engine.create ~algorithm ~seed:123 wf in
+      let store = Store.create ~dir ~algorithm ~seed:123 wf in
+      Store.attach store engine;
+      List.iter
+        (fun e ->
+          List.iter
+            (fun pair ->
+              Engine.submit e ~user:"alice" (Engine.Add [ pair ]);
+              ignore (Engine.drain ~mode:`Sequential e))
+            accepted)
+        [ served; engine ];
+      Store.write_snapshot store engine;
+      Store.close store;
+      match Store.resume dir with
+      | Error e -> Alcotest.fail e
+      | Ok (store2, r) ->
+          Alcotest.(check bool) "snapshot used" true (r.Store.snapshot_users > 0);
+          let resumed = r.Store.engine in
+          List.iter
+            (fun e ->
+              Engine.submit e ~user:"alice"
+                (Engine.Withdraw [ List.hd accepted ]);
+              ignore (Engine.drain ~mode:`Sequential e))
+            [ served; resumed ];
+          Store.close store2;
+          Alcotest.(check bool) "resumed states = served states" true
+            (Engine.session_states served = Engine.session_states resumed))
+
 (* ---------------------------------------------------------------- *)
 (* Compaction                                                         *)
 
@@ -718,6 +763,8 @@ let suite =
     ("truncation sweep over the last record", `Quick, test_truncation_sweep);
     ("bit-flip sweep over the last record", `Quick, test_bit_flip_sweep);
     ("resume after torn tail", `Quick, test_resume_after_torn_tail);
+    ("snapshot keeps pair acceptance order", `Quick,
+     test_snapshot_keeps_pair_order);
     ("compaction preserves state", `Quick, test_compact_preserves_state);
     ("compaction crash window", `Quick, test_compact_crash_window);
     ("verify report", `Quick, test_verify_report);
