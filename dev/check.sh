@@ -19,10 +19,13 @@ dune exec test/main.exe -- test 'graph/frozen-view' > /dev/null
 
 # Bench guard on the acceptance workload (100 vertices, 50 sessions):
 # fails if sessions-per-second regresses >10% against the committed
-# BENCH_engine.json, then refreshes it so the perf trajectory stays
-# current PR over PR. --shards appends the shard-scaling rows (1/2/4
-# shards, 200 sessions); speedups are core-count bound, so a one-core
-# CI host records ~1x — the rows document, they do not gate. --net
+# BENCH_engine.json. The run writes its own rows to a temp file, never
+# to the baseline: a passing run that overwrote it would make one fast
+# run the bar every later run of the same code must clear. Refresh the
+# baseline deliberately, with --out BENCH_engine.json. --shards
+# appends the shard-scaling rows (1/2/4 shards, 200 sessions);
+# speedups are core-count bound, so a one-core CI host records ~1x —
+# the rows document, they do not gate. --net
 # appends the same workload served over a Unix socket, isolating the
 # wire-protocol overhead against the in-process number. --tiered
 # appends the million-user Zipf row: 200k requests over a 1M-user
@@ -36,7 +39,10 @@ dune exec test/main.exe -- test 'graph/frozen-view' > /dev/null
 # Direct binary (dune build above already produced it): running under
 # `dune exec` adds enough scheduler noise on the 250-request guard
 # workload to trip the 10% gate on an unchanged engine.
-./_build/default/bench/engine.exe --baseline BENCH_engine.json --out BENCH_engine.json --shards --net --tiered --evolve --oracle
+BENCH_DIR=$(mktemp -d)
+CLEANUP_DIRS="$CLEANUP_DIRS $BENCH_DIR"
+./_build/default/bench/engine.exe --baseline BENCH_engine.json \
+  --out "$BENCH_DIR/BENCH_engine.json" --shards --net --tiered --evolve --oracle
 
 # Crash-recovery smoke: journal a serving run, tear the last append,
 # prove the ledger recovers and compacts back to a clean state.

@@ -1,4 +1,4 @@
-(* Scratch: reproduce the dense-graph RemoveMinMC simplex stall. *)
+(* Developer probe: time RemoveMinMC on a dense 1c instance per backend. *)
 module Generator = Cdw_workload.Generator
 module Gen_params = Cdw_workload.Gen_params
 module Algorithms = Cdw_core.Algorithms

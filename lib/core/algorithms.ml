@@ -3,7 +3,7 @@ module Paths = Cdw_graph.Paths
 module Reach = Cdw_graph.Reach
 module Mincut = Cdw_flow.Mincut
 module Multicut = Cdw_cut.Multicut
-module Simplex = Cdw_lp.Simplex
+module Cover = Cdw_lp.Cover
 module Splitmix = Cdw_util.Splitmix
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
@@ -235,7 +235,7 @@ let oracle_impl ~approx (o : Options.t) wf cs =
         tier = Some (if r.Multicut.exact then "exact-ilp" else "approx-lp");
         bound = Some r.Multicut.lower_bound;
       }
-  | exception (Timing.Timeout | Simplex.Numerical_failure _)
+  | exception (Timing.Timeout | Cover.Numerical_failure _)
     when o.Options.deadline = infinity || Timing.now_ms () < o.Options.deadline
     ->
       (* A caller-deadline Timeout re-raises. *)

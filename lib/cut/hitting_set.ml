@@ -153,29 +153,19 @@ let expand p info chosen_reduced =
     info.kept_elems;
   chosen
 
-let solve_ilp ?(deadline = infinity) ?node_limit p =
-  let info = presolve p in
-  let q = info.reduced in
-  if Array.length q.sets = 0 then expand p info (Array.make q.n_elems false)
-  else begin
-    let constraints =
-      Array.to_list
-        (Array.map
-           (fun s ->
-             let a = Array.make q.n_elems 0.0 in
-             Array.iter (fun e -> a.(e) <- 1.0) s;
-             (a, Cdw_lp.Simplex.Ge, 1.0))
-           q.sets)
-    in
-    match
-      Cdw_lp.Ilp.solve ~deadline ?node_limit
-        { objective = Array.copy q.weights; constraints }
-    with
-    | Cdw_lp.Ilp.Optimal { x; _ } -> expand p info x
-    | Cdw_lp.Ilp.Infeasible ->
-        (* Cannot happen: choosing every element hits every non-empty set. *)
-        assert false
-  end
+let solve_ilp ?deadline ?node_limit ?lp p =
+  validate p;
+  let lp =
+    match lp with
+    | None -> Cdw_lp.Cover.of_sets p.weights p.sets
+    | Some lp ->
+        if
+          Cdw_lp.Cover.n_elems lp <> p.n_elems
+          || Cdw_lp.Cover.n_sets lp <> Array.length p.sets
+        then invalid_arg "Hitting_set.solve_ilp: program does not match";
+        lp
+  in
+  Cdw_lp.Cover.ilp ?deadline ?node_limit lp
 
 let solve_greedy p =
   validate p;

@@ -32,10 +32,19 @@ val presolve : problem -> presolve_info
 val expand : problem -> presolve_info -> bool array -> bool array
 (** Lift a solution of [reduced] back to the original element space. *)
 
-val solve_ilp : ?deadline:float -> ?node_limit:int -> problem -> bool array
-(** Exact, via {!Cdw_lp.Ilp} ([node_limit] is its branch-and-bound node
-    cap). Raises [Invalid_argument] on an empty set (unhittable); may
-    raise [Cdw_util.Timing.Timeout]. *)
+val solve_ilp :
+  ?deadline:float ->
+  ?node_limit:int ->
+  ?lp:Cdw_lp.Cover.t ->
+  problem ->
+  bool array
+(** Exact, via {!Cdw_lp.Cover.ilp} ([node_limit] is its branch-and-bound
+    node cap). [lp], when given, must be the covering program of
+    exactly [problem] — same element indices, same sets in the same
+    order — and is re-solved warm from wherever its last solve stopped;
+    otherwise a fresh one is built. Raises [Invalid_argument] on an
+    empty set (unhittable) or a mismatched [lp]; may raise
+    [Cdw_util.Timing.Timeout]. *)
 
 val solve_bnb : ?deadline:float -> problem -> bool array
 (** Exact, combinatorial branch-and-bound: branches on the elements of a

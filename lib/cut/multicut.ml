@@ -2,7 +2,7 @@ module Digraph = Cdw_graph.Digraph
 module Reach = Cdw_graph.Reach
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
-module Simplex = Cdw_lp.Simplex
+module Cover = Cdw_lp.Cover
 
 type backend = Ilp | Bnb | Greedy | Lp_rounding | Auto of float
 
@@ -14,6 +14,9 @@ type result = {
   lower_bound : float;
   violated : int list;
   ratio : float;
+  pivots : int;
+  nodes : int;
+  warm_columns : int;
 }
 
 let with_removed g edges f =
@@ -92,8 +95,18 @@ let var_for pool e =
       pool.n_vars <- v + 1;
       v
 
-let add_path pool path =
-  let set = Array.of_list (List.map (var_for pool) path) in
+(* A path's new variables are appended to [lp] (in variable order)
+   before the path itself, so the covering program stays the pool's. *)
+let add_path ?lp ~weight pool path =
+  let var e =
+    let v = var_for pool e in
+    (match lp with
+    | Some lp when v = Cover.n_elems lp -> Cover.add_elem lp (weight e)
+    | _ -> ());
+    v
+  in
+  let set = Array.of_list (List.map var path) in
+  Option.iter (fun lp -> Cover.add_set lp set) lp;
   pool.sets <- set :: pool.sets;
   pool.n_sets <- pool.n_sets + 1;
   pool.max_len <- max pool.max_len (Array.length set)
@@ -116,42 +129,31 @@ let chosen_edges pool chosen =
 (* LP relaxation + threshold rounding: every pool path has ≤ L edges, so
    some variable on it is ≥ 1/L; keeping all x ≥ 1/L hits every pool
    path and costs ≤ L · OPT_LP. Returns the rounding and OPT_LP. *)
-let lp_round ~deadline ~max_len problem =
-  let constraints =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           let a = Array.make problem.Hitting_set.n_elems 0.0 in
-           Array.iter (fun e -> a.(e) <- 1.0) s;
-           (a, Simplex.Ge, 1.0))
-         problem.Hitting_set.sets)
-  in
-  let lp =
-    { Simplex.objective = Array.copy problem.Hitting_set.weights; constraints }
-  in
-  match Simplex.solve ~deadline lp with
-  | Simplex.Optimal { x; objective_value } ->
-      let threshold = (1.0 /. float_of_int max_len) -. 1e-9 in
-      (Array.map (fun xe -> xe >= threshold) x, objective_value)
-  | Simplex.Infeasible | Simplex.Unbounded ->
-      (* Covering LPs with non-empty sets are always feasible/bounded. *)
-      assert false
+let lp_round ~deadline ~max_len lp =
+  Cover.solve ~deadline lp;
+  let threshold = (1.0 /. float_of_int max_len) -. 1e-9 in
+  (Array.map (fun xe -> xe >= threshold) (Cover.x lp), Cover.value lp)
 
 let minimalize g edges ~weight ~pairs =
   let ordered =
     List.sort (fun a b -> compare (weight b) (weight a)) edges
   in
   (* Remove the whole cut, then re-admit edges most-expensive-first
-     whenever re-admission keeps every pair disconnected. *)
+     whenever re-admission keeps every pair disconnected. Every pair is
+     disconnected before [e = u→v] comes back, so afterwards (s, t) is
+     connected iff s reaches u and v reaches t: two searches per edge
+     instead of one per pair. *)
   List.iter (fun e -> Digraph.remove_edge g e) ordered;
-  let disconnected () =
-    List.for_all (fun (s, t) -> not (Reach.exists_path g s t)) pairs
+  let disconnected e =
+    let to_u = Reach.to_target g (Digraph.edge_src e) in
+    let from_v = Reach.from_source g (Digraph.edge_dst e) in
+    List.for_all (fun (s, t) -> not (to_u.(s) && from_v.(t))) pairs
   in
   let kept =
     List.filter
       (fun e ->
         Digraph.restore_edge g e;
-        if disconnected () then false
+        if disconnected e then false
         else begin
           Digraph.remove_edge g e;
           true
@@ -175,6 +177,14 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
   let scale = if !max_weight > 0.0 then 1.0 /. !max_weight else 1.0 in
   let scaled_weight e = weight e *. scale in
   let pool = fresh_pool () in
+  (* The LP backends keep one covering program across the lazy rounds:
+     each round's paths are priced into the basis the last round's
+     solve ended on. *)
+  let lp =
+    match backend with
+    | Ilp | Lp_rounding -> Some (Cover.create ())
+    | Bnb | Greedy | Auto _ -> None
+  in
   let lp_value = ref 0.0 in
   let backend_name = function
     | Ilp -> "ilp"
@@ -183,6 +193,15 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
     | Lp_rounding -> "lp-rounding"
     | Auto _ -> "auto"
   in
+  let counters () =
+    match lp with
+    | Some lp -> (Cover.pivots lp, Cover.nodes lp, Cover.warm_columns lp)
+    | None -> (0, 0, 0)
+  in
+  (* The counters as the previous hitting-set span reported them: each
+     span reports the work since, the paths the round priced in
+     included. *)
+  let reported = ref (0, 0, 0) in
   let solve_pool () =
     Trace.span "multicut.hitting_set"
       ~args:
@@ -194,28 +213,47 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
         let problem = pool_problem pool ~weight:scaled_weight in
         let chosen =
           match backend with
-          | Ilp -> Hitting_set.solve_ilp ~deadline ?node_limit problem
+          | Ilp -> Hitting_set.solve_ilp ~deadline ?node_limit ?lp problem
           | Bnb -> Hitting_set.solve_bnb ~deadline problem
           | Greedy -> Hitting_set.solve_greedy problem
           | Lp_rounding ->
               let chosen, value =
-                lp_round ~deadline ~max_len:pool.max_len problem
+                lp_round ~deadline ~max_len:pool.max_len (Option.get lp)
               in
               lp_value := value;
               chosen
           | Auto _ -> assert false (* dispatched before the loop *)
         in
+        let ((pivots, nodes, warm) as now) = counters () in
+        let pivots0, nodes0, warm0 = !reported in
+        reported := now;
+        Trace.add_args
+          [
+            ("pivots", string_of_int (pivots - pivots0));
+            ("nodes", string_of_int (nodes - nodes0));
+            ("warm_columns", string_of_int (warm - warm0));
+          ];
         chosen_edges pool chosen)
   in
   let exact = match backend with Ilp | Bnb -> true | _ -> false in
   let finish violated candidate =
-    (* The approximate backends can leave redundant edges in the cut;
-       dropping them only lowers the weight. *)
+    (* Any backend can leave redundant edges in the cut, and dropping
+       them never raises the weight. An exact cut is within the
+       solvers' 1e-6 (scaled) of the optimum, so only an edge lighter
+       than that can be redundant: minimalize re-admits none of the
+       heavier ones, and they can stay removed while it tries the
+       rest. *)
     let candidate =
-      if exact then candidate
+      let heavy, light =
+        if not exact then ([], candidate)
+        else List.partition (fun e -> scaled_weight e > 1e-6) candidate
+      in
+      if light = [] then candidate
       else
         Trace.span "multicut.minimalize" (fun () ->
-            minimalize g candidate ~weight ~pairs)
+            heavy
+            @ with_removed g heavy (fun () ->
+                  minimalize g light ~weight ~pairs))
     in
     let weight_total =
       List.fold_left (fun acc e -> acc +. weight e) 0.0 candidate
@@ -229,6 +267,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
       | Lp_rounding -> (!lp_value /. scale, float_of_int pool.max_len)
       | Greedy | Auto _ -> (0.0, infinity)
     in
+    let pivots, nodes, warm_columns = counters () in
     {
       edges = candidate;
       weight = weight_total;
@@ -237,6 +276,9 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
       lower_bound;
       violated = List.rev violated;
       ratio;
+      pivots;
+      nodes;
+      warm_columns;
     }
   in
   let rec loop violated candidate =
@@ -250,7 +292,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
     match surviving with
     | [] -> finish violated candidate
     | paths ->
-        List.iter (add_path pool) paths;
+        List.iter (add_path ?lp ~weight:scaled_weight pool) paths;
         loop violated (solve_pool ())
   in
   match backend with
@@ -260,7 +302,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
       in
       try solve ~backend:Ilp ~deadline:ilp_deadline ?node_limit g ~weight ~pairs
       with
-      | Timing.Timeout | Simplex.Numerical_failure _
+      | Timing.Timeout | Cover.Numerical_failure _
         when deadline = infinity || Timing.now_ms () < deadline
       ->
         (* Budget exhausted (or the simplex got numerically stuck):

@@ -14,7 +14,12 @@
     incumbent hits every pooled path, so any survivor is new). On exit
     the exact backends' answer is feasible for the full (implicit) path
     set at the optimum of a relaxation of it — exactly optimal, matching
-    what GLPK computes for the paper on the explicit formulation. *)
+    what GLPK computes for the paper on the explicit formulation.
+
+    The LP backends ([Ilp], [Auto]'s exact phase, [Lp_rounding]) keep
+    one covering program ({!Cdw_lp.Cover}) across the rounds: each
+    round's paths are priced into the basis the last round's solve
+    ended on, so a round resumes instead of starting over. *)
 
 type backend =
   | Ilp  (** hitting set via LP-based branch-and-bound (paper's setup) *)
@@ -46,6 +51,15 @@ type result = {
       (** guaranteed approximation ratio of [weight] vs the optimum:
           1.0 when [exact]; the longest pooled path length L for
           [Lp_rounding]; [infinity] for [Greedy] *)
+  pivots : int;
+      (** simplex pivots of the [Ilp]/[Lp_rounding] covering program,
+          branch-and-bound nodes included; 0 for the other backends *)
+  nodes : int;
+      (** [Ilp] branch-and-bound nodes over all rounds, each round's
+          root relaxation counting as one (the unit [node_limit] caps) *)
+  warm_columns : int;
+      (** paths priced into an already-solved basis rather than solved
+          from scratch: every path after the first round's *)
 }
 
 val solve :
@@ -59,9 +73,10 @@ val solve :
 (** [backend] defaults to [Ilp]. The graph is not modified (edges are
     soft-removed and restored internally). [node_limit] bounds each
     round's branch-and-bound tree of the [Ilp] backend (and of [Auto]'s
-    ILP phase; {!Cdw_lp.Ilp.solve}). Raises [Cdw_util.Timing.Timeout]
+    ILP phase; {!Cdw_lp.Cover.ilp}). Every backend's cut is passed
+    through {!minimalize}. Raises [Cdw_util.Timing.Timeout]
     when the cooperative deadline fires or the node limit is exhausted,
-    {!Cdw_lp.Simplex.Numerical_failure} when the LP layer gets stuck
+    {!Cdw_lp.Cover.Numerical_failure} when the LP layer gets stuck
     (never from [Auto], which answers from [Greedy] instead while
     [deadline] has slack), and [Invalid_argument] when some pair shares
     a vertex. *)
@@ -80,6 +95,6 @@ val minimalize :
   pairs:(int * int) list ->
   Cdw_graph.Digraph.edge list
 (** Drop redundant edges from a multicut: try to re-admit edges in
-    decreasing weight order, keeping the cut property. Applied to the
-    approximate backends' results, where it only ever lowers the
-    weight. *)
+    decreasing weight order, keeping the cut property. It only ever
+    lowers the weight; on an exact backend's optimum it can drop only
+    zero-weight edges. *)

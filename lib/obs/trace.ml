@@ -20,7 +20,8 @@ type buffer = {
   mutable len : int;
   mutable dropped : int;
   mutable last_ts : float;  (* monotonicity clamp *)
-  mutable stack : (int * bool) list;  (* (span id, begin recorded) *)
+  mutable stack : (int * int) list;
+      (* (span id, index of its begin event, or -1 when not recorded) *)
 }
 
 let enabled_flag = Atomic.make false
@@ -98,17 +99,24 @@ let begin_span b name args parent =
     | Some p -> p
     | None -> ( match b.stack with (p, _) :: _ -> p | [] -> 0)
   in
-  let recorded = b.len < Atomic.get capacity in
-  if recorded then push b { name; ph = 'B'; ts = now_us b; sid; parent; args }
-  else b.dropped <- b.dropped + 1;
-  b.stack <- (sid, recorded) :: b.stack
+  let slot =
+    if b.len < Atomic.get capacity then begin
+      push b { name; ph = 'B'; ts = now_us b; sid; parent; args };
+      b.len - 1
+    end
+    else begin
+      b.dropped <- b.dropped + 1;
+      -1
+    end
+  in
+  b.stack <- (sid, slot) :: b.stack
 
 let end_span b name =
   match b.stack with
   | [] -> ()  (* tracing was toggled mid-span; nothing to close *)
-  | (sid, recorded) :: rest ->
+  | (sid, slot) :: rest ->
       b.stack <- rest;
-      if recorded then
+      if slot >= 0 then
         push b { name; ph = 'E'; ts = now_us b; sid; parent = 0; args = [] }
 
 let span ?(args = []) ?parent name f =
@@ -118,6 +126,15 @@ let span ?(args = []) ?parent name f =
     begin_span b name args parent;
     Fun.protect ~finally:(fun () -> end_span b name) f
   end
+
+let add_args args =
+  if Atomic.get enabled_flag then
+    let b = Domain.DLS.get key in
+    match b.stack with
+    | (_, slot) :: _ when slot >= 0 ->
+        let ev = b.events.(slot) in
+        b.events.(slot) <- { ev with args = ev.args @ args }
+    | _ -> ()
 
 let current_span () =
   if not (Atomic.get enabled_flag) then 0

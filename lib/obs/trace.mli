@@ -39,6 +39,11 @@ val span :
     implicit (same-domain) parent — pass another domain's
     {!current_span} to stitch a cross-domain fan-out together. *)
 
+val add_args : (string * string) list -> unit
+(** Append [args] to the begin event of the innermost open span on this
+    domain — for figures known only once the span's work is done. A
+    no-op while tracing is off or when that span was not recorded. *)
+
 val current_span : unit -> int
 (** Id of the innermost open span on this domain, 0 if none. Non-zero
     only while tracing is enabled. Ids are unique across processes

@@ -1,5 +1,3 @@
-module Simplex = Cdw_lp.Simplex
-module Ilp = Cdw_lp.Ilp
 open Simplex
 
 let check_float = Alcotest.(check (float 1e-6))

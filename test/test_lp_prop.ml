@@ -1,13 +1,13 @@
-(* Deeper lib/lp properties backing the exact oracle: strong duality on
-   random feasible primal/dual pairs, branch-and-bound against
-   exhaustive search up to 12 variables, and regressions for the edge
-   cases the oracle work surfaced — empty and all-zero objectives,
-   nonnegativity of extracted solutions (the tiny-negative basic-value
-   clamp), and exactness under weights spanning many orders of
-   magnitude (the near-integral incumbent re-scoring). *)
+(* Deeper properties of the general LP/ILP oracle (test/simplex.ml,
+   test/ilp.ml) that test_cover.ml checks Cdw_lp.Cover against:
+   strong duality on random feasible primal/dual pairs,
+   branch-and-bound against exhaustive search up to 12 variables, and
+   regressions for the edge cases the oracle work surfaced — empty and
+   all-zero objectives, nonnegativity of extracted solutions (the
+   tiny-negative basic-value clamp), and exactness under weights
+   spanning many orders of magnitude (the near-integral incumbent
+   re-scoring). *)
 
-module Ilp = Cdw_lp.Ilp
-module Simplex = Cdw_lp.Simplex
 module Splitmix = Cdw_util.Splitmix
 open Simplex
 

@@ -49,28 +49,28 @@ let test_ilp_node_limit () =
      1 must fire. *)
   let p =
     {
-      Cdw_lp.Simplex.objective = [| 1.0; 1.0; 1.0 |];
+      Simplex.objective = [| 1.0; 1.0; 1.0 |];
       constraints =
         [
-          ([| 1.0; 1.0; 0.0 |], Cdw_lp.Simplex.Ge, 1.0);
-          ([| 0.0; 1.0; 1.0 |], Cdw_lp.Simplex.Ge, 1.0);
-          ([| 1.0; 0.0; 1.0 |], Cdw_lp.Simplex.Ge, 1.0);
+          ([| 1.0; 1.0; 0.0 |], Simplex.Ge, 1.0);
+          ([| 0.0; 1.0; 1.0 |], Simplex.Ge, 1.0);
+          ([| 1.0; 0.0; 1.0 |], Simplex.Ge, 1.0);
         ];
     }
   in
   Alcotest.check_raises "node limit" Timing.Timeout (fun () ->
-      ignore (Cdw_lp.Ilp.solve ~node_limit:1 p))
+      ignore (Ilp.solve ~node_limit:1 p))
 
 let test_simplex_deadline () =
   let p =
     {
-      Cdw_lp.Simplex.objective = [| -1.0; -1.0 |];
-      constraints = [ ([| 1.0; 2.0 |], Cdw_lp.Simplex.Le, 14.0) ];
+      Simplex.objective = [| -1.0; -1.0 |];
+      constraints = [ ([| 1.0; 2.0 |], Simplex.Le, 14.0) ];
     }
   in
   Alcotest.check_raises "expired deadline stops simplex" Timing.Timeout
     (fun () ->
-      ignore (Cdw_lp.Simplex.solve ~deadline:(Timing.now_ms () -. 1.0) p))
+      ignore (Simplex.solve ~deadline:(Timing.now_ms () -. 1.0) p))
 
 let suite =
   [

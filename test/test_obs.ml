@@ -2,7 +2,7 @@
    accuracy, Metrics error accounting, trace well-formedness (balanced
    begin/end, monotone timestamps, valid JSON), drain-phase coverage,
    Prometheus exposition rendering/parsing, disabled-tracing overhead,
-   and the store's dark counters. *)
+   the multicut LP counters on spans, and the store's dark counters. *)
 
 module Flight = Cdw_obs.Flight
 module Histogram = Cdw_obs.Histogram
@@ -272,6 +272,58 @@ let test_trace_exceptions_balanced () =
       Alcotest.(check int) "begin and end recorded" 2
         (Trace.recorded_events ()));
   Trace.reset ()
+
+(* Every [multicut.hitting_set] span carries its call's LP counters
+   (added once the solve is done), and they sum to the totals on the
+   multicut result. *)
+let test_trace_lp_counters () =
+  let inst =
+    Cdw_workload.Generator.generate ~seed:1
+      (Cdw_workload.Gen_params.dataset1c ~n_constraints:10)
+  in
+  let wf = inst.Cdw_workload.Generator.workflow in
+  let w = Cdw_core.Utility.cut_weights wf in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        Cdw_cut.Multicut.solve ~backend:Cdw_cut.Multicut.Ilp
+          (Cdw_core.Workflow.graph wf)
+          ~weight:(fun e -> w.(Cdw_graph.Digraph.edge_id e))
+          ~pairs:
+            (Cdw_core.Constraint_set.pairs
+               inst.Cdw_workload.Generator.constraints))
+  in
+  let events =
+    Option.get
+      (Option.bind (Json.member "traceEvents" (Trace.export ())) Json.to_list)
+  in
+  Trace.reset ();
+  let spans =
+    List.filter
+      (fun ev ->
+        Json.member "name" ev = Some (Json.String "multicut.hitting_set")
+        && Json.member "ph" ev = Some (Json.String "B"))
+      events
+  in
+  Alcotest.(check int) "one span per round" r.Cdw_cut.Multicut.rounds
+    (List.length spans);
+  let sum key =
+    List.fold_left
+      (fun acc ev ->
+        let args = Option.get (Json.member "args" ev) in
+        acc + int_of_string (json_field args key Json.to_text))
+      0 spans
+  in
+  Alcotest.(check int) "pivots" r.Cdw_cut.Multicut.pivots (sum "pivots");
+  Alcotest.(check int) "nodes" r.Cdw_cut.Multicut.nodes (sum "nodes");
+  Alcotest.(check int) "warm_columns" r.Cdw_cut.Multicut.warm_columns
+    (sum "warm_columns");
+  Alcotest.(check bool) "the LP did work" true (r.Cdw_cut.Multicut.pivots > 0);
+  Alcotest.(check bool) "later rounds resumed warm" true
+    (r.Cdw_cut.Multicut.warm_columns > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Prometheus exposition                                              *)
@@ -633,6 +685,8 @@ let suite =
       test_trace_disabled_overhead;
     Alcotest.test_case "trace: exceptions keep spans balanced" `Quick
       test_trace_exceptions_balanced;
+    Alcotest.test_case "trace: hitting-set spans carry LP counters" `Quick
+      test_trace_lp_counters;
     Alcotest.test_case "prom: counter exposition golden" `Quick
       test_prom_render_golden;
     Alcotest.test_case "prom: render/parse round-trip" `Quick

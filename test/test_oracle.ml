@@ -254,13 +254,13 @@ let test_budget_fallback () =
     "ample budget stays exact" (Some "exact-ilp") o.Algorithms.tier
 
 (* The budget fallback must not re-run the ILP it just exhausted: on
-   the dense 1c instance that defeats the ILP (|N| = 30, seed 1), a
-   250 ms exact-tier budget answers from the fallback tier well inside
-   2 s, with the utility RemoveMinMC itself settles for there — its
-   [Auto] budget expires too and it answers from greedy. *)
+   the dense 1c instance that defeats a 250 ms exact-tier budget
+   (|N| = 50, seed 1; its exact solve takes seconds), the tier answers
+   from the fallback well inside 2 s, with the utility RemoveMinMC's
+   greedy backend settles for there. *)
 let test_fallback_is_cheap () =
   let inst =
-    Generator.generate ~seed:1 (Gen_params.dataset1c ~n_constraints:30)
+    Generator.generate ~seed:1 (Gen_params.dataset1c ~n_constraints:50)
   in
   let wf = inst.Generator.workflow in
   let cs = inst.Generator.constraints in
@@ -284,8 +284,57 @@ let test_fallback_is_cheap () =
     "fallback utility = RemoveMinMC's greedy answer"
     greedy.Algorithms.utility_after o.Algorithms.utility_after;
   Alcotest.(check (float 0.005))
-    "utility retained as RemoveMinMC's budget-bound answer" 46.29
+    "utility retained as RemoveMinMC's greedy answer" 35.35
     (Algorithms.utility_percent o)
+
+(* The multicut RemoveMinMC solves on [inst] with [backend], on a copy
+   of its workflow. *)
+let multicut ~backend (inst : Generator.t) =
+  let wf = Workflow.copy inst.Generator.workflow in
+  let w = Utility.cut_weights wf in
+  let g = Workflow.graph wf in
+  let pairs = Constraint_set.pairs inst.Generator.constraints in
+  let weight e = w.(Digraph.edge_id e) in
+  (g, pairs, Multicut.solve ~backend g ~weight ~pairs)
+
+(* Dense 1c |N| = 30 seed 1, once the instance that exhausted the
+   default budget, closes exactly under RemoveMinMC's default backend,
+   at the exact backend's optimum. *)
+let test_dense30_exact () =
+  let inst =
+    Generator.generate ~seed:1 (Gen_params.dataset1c ~n_constraints:30)
+  in
+  let _, _, r =
+    multicut ~backend:Algorithms.Options.default.Algorithms.Options.backend inst
+  in
+  Alcotest.(check bool) "default backend answers exactly" true r.Multicut.exact;
+  let _, _, ilp = multicut ~backend:Multicut.Ilp inst in
+  Alcotest.(check (float 1e-6)) "at the exact optimum" ilp.Multicut.weight
+    r.Multicut.weight
+
+(* An exact cut is minimal: restoring any one of its edges reconnects
+   some pair. (An optimum may carry zero-weight edges it does not
+   need; the loop drops them.) *)
+let test_exact_cuts_minimal () =
+  List.iter
+    (fun (name, params) ->
+      List.iter
+        (fun seed ->
+          let inst = Generator.generate ~seed params in
+          let g, pairs, r = multicut ~backend:Multicut.Ilp inst in
+          List.iter
+            (fun e ->
+              let rest = List.filter (fun f -> f != e) r.Multicut.edges in
+              if Multicut.is_multicut g rest ~pairs then
+                Alcotest.failf "%s seed %d: exact cut edge %d is redundant" name
+                  seed (Digraph.edge_id e))
+            r.Multicut.edges)
+        [ 1; 2; 3 ])
+    [
+      ("1a/50", Gen_params.dataset1a ~n_constraints:50);
+      ("1b/10", Gen_params.dataset1b ~n_constraints:10);
+      ("1c/10", Gen_params.dataset1c ~n_constraints:10);
+    ]
 
 let suite =
   [
@@ -299,4 +348,8 @@ let suite =
       test_budget_fallback;
     Alcotest.test_case "budget fallback does not re-run the ILP" `Quick
       test_fallback_is_cheap;
+    Alcotest.test_case "1c |N|=30 seed 1 is exact under the default Auto 5000"
+      `Quick test_dense30_exact;
+    Alcotest.test_case "exact cuts on 1a/1b/1c are minimal" `Quick
+      test_exact_cuts_minimal;
   ]

@@ -1,4 +1,3 @@
-module Simplex = Cdw_lp.Simplex
 open Simplex
 
 let check_float = Alcotest.(check (float 1e-6))
